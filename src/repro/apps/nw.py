@@ -218,7 +218,7 @@ def _prove_wave_guard(wave: int, block_count: int) -> bool:
     """Prove the wavefront guard redundant for the offset compact launch.
 
     Builds the launch symbolically — ``bx = bxw + lo`` for a grid index
-    ``bxw`` over the wave's span — and asks the stride-aware prover to
+    ``bxw`` over the wave's span — and asks the range prover to
     discharge the kernel's guard predicate
     ``0 <= by < bc and 0 <= bx < bc`` (with ``by = wave - bx``) for every
     grid point.  A ``True`` verdict licenses launching the unguarded kernel.

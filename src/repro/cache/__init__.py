@@ -9,9 +9,9 @@ Four pieces live here, composed by their users:
   process can produce.
 * :class:`ResultCache` — the persistent tier: a ``key -> dict`` JSON store
   with atomic writes (temp file + ``os.replace``) and a ``corrupt_reset``
-  flag raised when an unreadable store was discarded on load.  Grown out of
-  ``repro.tune.cache`` (which now re-exports it) so the autotuner's
-  evaluation cache and the service's kernel store share one implementation.
+  flag raised when an unreadable store was discarded on load.  The
+  autotuner's evaluation cache and the service's kernel store share this
+  one implementation.
 * :class:`ShardedFileStore` — the multi-process durable tier: one atomic
   file per entry, sharded into subdirectories, so compile-farm workers in
   different processes share one store without last-writer-wins data loss

@@ -1,10 +1,10 @@
 """Persistent JSON-backed result store shared by the tuner and the service.
 
-Originally ``repro.tune.cache``: the autotuner's evaluation cache, keyed by a
-digest of the app, the candidate configuration and the lowered index
-expressions of the generated kernel.  The compilation service reuses the same
-store as the durable tier of its kernel cache (payloads are kernel sources
-plus metadata instead of evaluation results), so the class moved here.
+The autotuner's evaluation cache, keyed by a digest of the app, the candidate
+configuration and the lowered index expressions of the generated kernel.  The
+compilation service reuses the same store as the durable tier of its kernel
+cache (payloads are kernel sources plus metadata instead of evaluation
+results).
 
 Durability contract:
 

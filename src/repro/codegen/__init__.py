@@ -11,7 +11,7 @@
 * :func:`generate_accessor_wrapper` — CUDA accessor-struct emission for
   layouts applied per-access (the NW integration style),
 * :func:`prove_guard_redundant` / :func:`discharge_in_bounds` — static guard
-  elimination on top of the stride-aware range analysis; obligations are
+  elimination on top of the range analysis; obligations are
   registered via :meth:`CodegenContext.require_in_bounds` and surfaced as
   ``GeneratedKernel.proven_bounds``,
 * :class:`GenerationReport`, :func:`time_generation`,

@@ -151,7 +151,7 @@ class CodegenContext:
         """Register the obligation ``lo <= binding <= hi`` (inclusive).
 
         Obligations are discharged during :meth:`lower`: each is handed to the
-        stride-aware prover and the verdict recorded in :attr:`proven_bounds`.
+        range prover and the verdict recorded in :attr:`proven_bounds`.
         Backends surface the verdicts on the generated kernel so launch code
         can drop bounds guards for statically proven accesses.
         """

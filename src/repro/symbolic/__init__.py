@@ -9,10 +9,10 @@ Public surface of the engine used throughout the LEGO reproduction:
   (the paper's Table II rules with range-proved side conditions);
 * proofs — :func:`prove_le`, :func:`prove_lt`, :func:`prove_in_bounds`,
   :func:`brute_force_check`;
-* stride-aware ranges — :class:`IndexRange`, :func:`index_range`,
-  :func:`affine_strides`, :func:`is_mixed_radix_bijection` (the Exo-style
-  base + constant-bounds + stride analysis behind guard elimination and
-  static layout-bijectivity proofs);
+* ranges — :meth:`SymbolicEnv.range_of` is the one range analysis (symbolic
+  endpoints, :class:`Interval` arithmetic where they are constant) behind the
+  prover and guard elimination; :func:`affine_strides` and
+  :func:`is_mixed_radix_bijection` prove layout bijectivity statically;
 * cost model — :func:`operation_count`, :func:`choose_cheapest`;
 * printers — :class:`PythonPrinter`, :class:`TritonPrinter`, :class:`CPrinter`,
   :class:`MLIRArithPrinter`;
@@ -40,14 +40,13 @@ from .expr import (
     intern_table_size,
     symbols,
 )
-from .ranges import Interval, RangeEnv
+from .ranges import Interval
 from .stats import CACHE_STATS, CacheCounters, cache_statistics, reset_cache_statistics
-from .symranges import EnvCaches, SymInterval, SymbolicEnv
-from .indexrange import (
-    IndexRange,
+from .symranges import (
+    EnvCaches,
+    SymInterval,
+    SymbolicEnv,
     affine_strides,
-    constant_interval,
-    index_range,
     is_mixed_radix_bijection,
 )
 from .prover import (
@@ -92,13 +91,9 @@ __all__ = [
     "as_expr",
     "symbols",
     "Interval",
-    "RangeEnv",
     "EnvCaches",
     "SymInterval",
     "SymbolicEnv",
-    "IndexRange",
-    "index_range",
-    "constant_interval",
     "affine_strides",
     "is_mixed_radix_bijection",
     "brute_force_check",

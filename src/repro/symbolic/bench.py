@@ -1,7 +1,7 @@
 """Range-analysis benchmark: static proofs, guard elimination, generation time.
 
 The ``range-smoke`` CI job runs this module (``python -m repro.symbolic.bench``)
-to gate the stride-aware range analysis on three observable outcomes:
+to gate the range analysis on three observable outcomes:
 
 * **LUD bijectivity is static** — every distinct kernel shape of the tuned
   LUD search space must discharge its ``element_offset`` bijectivity proof

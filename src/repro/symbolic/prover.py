@@ -100,13 +100,6 @@ def _record_query(kind: str, query: Callable[[], str], result: bool) -> bool:
     return result
 
 
-def _var_lo_const(var: Var, env: SymbolicEnv) -> Optional[int]:
-    lo = env.range_of_var(var.name).lo
-    if isinstance(lo, Const):
-        return lo.value
-    return None
-
-
 # proof-cache key tags (paired with expression ids)
 _NONNEG, _POSITIVE, _NONZERO, _LE, _PROVE_NONNEG, _PROVE_POSITIVE = range(6)
 
@@ -130,8 +123,8 @@ def is_nonneg(expr: ExprLike, env: SymbolicEnv) -> bool:
 
 def _is_nonneg_impl(expr: Expr, env: SymbolicEnv) -> bool:
     if isinstance(expr, Var):
-        lo = _var_lo_const(expr, env)
-        return lo is not None and lo >= 0
+        lo = env.range_of(expr).lo
+        return isinstance(lo, Const) and lo.value >= 0
     if isinstance(expr, Add):
         return all(is_nonneg(a, env) for a in expr.args)
     if isinstance(expr, Mul):
@@ -198,11 +191,10 @@ def _is_positive_impl(expr: Expr, env: SymbolicEnv) -> bool:
     if env.is_declared_positive(expr):
         return True
     if isinstance(expr, Var):
-        lo = _var_lo_const(expr, env)
-        if lo is not None and lo > 0:
-            return True
-        lo_expr = env.range_of_var(expr.name).lo
-        return lo_expr is not None and is_positive(lo_expr, env) if lo_expr is not expr else False
+        lo = env.range_of(expr).lo
+        if isinstance(lo, Const):
+            return lo.value > 0
+        return lo is not expr and is_positive(lo, env)
     if isinstance(expr, Add):
         if all(is_nonneg(a, env) for a in expr.args) and any(
             is_positive(a, env) for a in expr.args
@@ -214,9 +206,7 @@ def _is_positive_impl(expr: Expr, env: SymbolicEnv) -> bool:
     if isinstance(expr, Min):
         return all(is_positive(a, env) for a in expr.args)
     if isinstance(expr, Max):
-        return any(is_positive(a, env) for a in expr.args) and all(
-            is_positive(a, env) or is_nonneg(a, env) for a in expr.args
-        ) or any(is_positive(a, env) for a in expr.args)
+        return any(is_positive(a, env) for a in expr.args)
     if isinstance(expr, FloorDiv):
         # x // d >= 1 requires x >= d; prove via bound comparison.
         return prove_le(expr.denominator, expr.numerator, env) and is_positive(
@@ -258,14 +248,7 @@ def prove_nonneg(expr: ExprLike, env: SymbolicEnv) -> bool:
 
 
 def _prove_nonneg_impl(expr: Expr, env: SymbolicEnv) -> bool:
-    if is_nonneg(expr, env):
-        return True
-    if _indexrange_nonneg(expr, env):
-        return True
-    lo = env.range_of(expr).lo
-    if lo is not None and lo is not expr and is_nonneg(lo, env):
-        return True
-    return False
+    return is_nonneg(expr, env) or _bound_nonneg(expr, env)
 
 
 def prove_positive(expr: ExprLike, env: SymbolicEnv) -> bool:
@@ -287,9 +270,7 @@ def _prove_positive_impl(expr: Expr, env: SymbolicEnv) -> bool:
     if is_positive(expr, env):
         return True
     lo = env.range_of(expr).lo
-    if lo is not None and lo is not expr and is_positive(lo, env):
-        return True
-    return False
+    return lo is not expr and is_positive(lo, env)
 
 
 def prove_le(lhs: ExprLike, rhs: ExprLike, env: SymbolicEnv) -> bool:
@@ -317,67 +298,49 @@ def _prove_le_impl(lhs: Expr, rhs: Expr, env: SymbolicEnv) -> bool:
     # Compare through symbolic bounds: lhs <= hi(lhs) and lo(rhs) <= rhs.
     lhs_range = env.range_of(lhs)
     rhs_range = env.range_of(rhs)
-    upper_candidates: list[Expr] = []
-    if lhs_range.hi is not None and lhs_range.hi != lhs:
-        upper_candidates.append(lhs_range.hi)
     lower_candidates: list[Expr] = [rhs]
-    if rhs_range.lo is not None and rhs_range.lo != rhs:
+    if rhs_range.lo != rhs:
         lower_candidates.append(rhs_range.lo)
-    for upper in upper_candidates:
+    if lhs_range.hi != lhs:
         for lower in lower_candidates:
-            if _difference_nonneg(lower - upper, env):
+            if _difference_nonneg(lower - lhs_range.hi, env):
                 return True
     # Finally, lhs itself vs the lower bound of rhs.
-    if rhs_range.lo is not None and rhs_range.lo != rhs:
-        if _difference_nonneg(rhs_range.lo - lhs, env):
-            return True
-    return False
+    return rhs_range.lo != rhs and _difference_nonneg(rhs_range.lo - lhs, env)
 
 
 def _difference_nonneg(diff: Expr, env: SymbolicEnv) -> bool:
     """Prove that a difference expression is non-negative.
 
-    Four stages, each strictly stronger than the previous:
+    One ladder, each rung tried only when the previous ones fail:
 
     1. structural sign analysis of the difference as written;
-    2. stride-aware constant-bounds analysis (:func:`~repro.symbolic.
-       indexrange.index_range`): exact interval arithmetic over the
-       env-declared constant variable ranges, which — unlike the structural
-       stage — handles negative coefficients (``n - r - brick*bz - tz - 1``)
-       and div/mod folding, the shapes guard elimination produces;
-    3. the same sign analysis after distributing products over sums, which
-       lets the n-ary ``Add`` canonicaliser cancel syntactically different
-       but equal terms (``nt_n*(X + 1) - nt_n - nt_n*X``);
+    2. the lower end of :meth:`SymbolicEnv.range_of` — interval arithmetic
+       over the declared ranges, which (unlike the structural rung) handles
+       negative coefficients (``n - r - brick*bz - tz - 1``) and div/mod
+       folding, the shapes guard elimination produces;
+    3. both again after distributing products over sums, which lets the
+       n-ary ``Add`` canonicaliser cancel syntactically different but equal
+       terms (``nt_n*(X + 1) - nt_n - nt_n*X``);
     4. term cancellation against relational facts — user-declared ``lhs <=
        rhs`` constraints plus the built-in lemma ``min(a, b) * max(1, a // b)
        <= a`` for non-negative ``a``/positive ``b`` (which Z3 discharges for
        the paper; grouped thread-block layouts need it).
     """
-    if is_nonneg(diff, env):
-        return True
-    if _indexrange_nonneg(diff, env):
+    if is_nonneg(diff, env) or _bound_nonneg(diff, env):
         return True
     from .simplify import expand  # local import: simplify imports this module
 
     expanded = expand(diff)
-    if expanded != diff and (
-        is_nonneg(expanded, env) or _indexrange_nonneg(expanded, env)
-    ):
+    if expanded != diff and (is_nonneg(expanded, env) or _bound_nonneg(expanded, env)):
         return True
     return _nonneg_with_facts(expanded, env)
 
 
-def _indexrange_nonneg(diff: Expr, env: SymbolicEnv) -> bool:
-    """Stride-aware stage: ``base + [lo, hi] >= 0`` when ``lo >= 0`` and the
-    residual base is itself provably non-negative (trivially so when zero)."""
-    from .indexrange import index_range  # local import: avoids a cycle
-
-    r = index_range(diff, env)
-    if r.lo is None or r.lo < 0:
-        return False
-    if r.is_constant():
-        return True
-    return is_nonneg(r.base, env)
+def _bound_nonneg(expr: Expr, env: SymbolicEnv) -> bool:
+    """``expr >= 0`` because its ``range_of`` lower end provably is."""
+    lo = env.range_of(expr).lo
+    return lo is not expr and is_nonneg(lo, env)
 
 
 def _product_facts(expr: Expr, env: SymbolicEnv) -> list[tuple[Expr, Expr]]:
@@ -498,8 +461,8 @@ def prove_in_bounds(
     This is the query code generation issues to discharge a bounds guard:
     ``lo``/``hi`` are *inclusive* (an index into an extent-``n`` buffer is in
     bounds when ``prove_in_bounds(idx, 0, n - 1, env)``).  Both sides run
-    through :func:`prove_le` and therefore benefit from the stride-aware
-    constant-bounds stage.
+    through :func:`prove_le` and therefore benefit from the interval
+    arithmetic of :meth:`SymbolicEnv.range_of`.
     """
     expr = as_expr(expr)
     result = prove_le(lo, expr, env) and prove_le(expr, hi, env)

@@ -1,47 +1,22 @@
-"""Interval (range) analysis for symbolic integer expressions.
+"""Integer-endpoint interval arithmetic.
 
-The paper propagates index-range information derived from layout shapes
-through the generated expressions and uses it (via Z3) to discharge the side
-conditions of the division/modulo simplification rules of Table II.  This
-module provides the reproduction's equivalent: a small abstract-interpretation
-framework over integer intervals.
-
-Two pieces:
-
-* :class:`Interval` — a possibly unbounded integer interval ``[lo, hi]`` with
-  sound arithmetic for the operations appearing in layout expressions
-  (addition, multiplication, floor division, modulo, min/max).
-* :class:`RangeEnv` — an environment mapping variable names to intervals,
-  with :meth:`RangeEnv.range_of` computing a sound interval for an arbitrary
-  expression.
-
-Unbounded ends are represented by ``None``.  All operations are conservative:
-the returned interval always contains every value the expression can take for
-inputs inside the environment's intervals.
+:class:`Interval` is a possibly unbounded integer interval ``[lo, hi]``
+(``None`` is an unbounded end) with sound arithmetic for the operations that
+appear in layout expressions: addition, multiplication, floor division and
+modulo.  It is not an analysis of its own: :meth:`repro.symbolic.SymbolicEnv.
+range_of` uses it wherever every operand of a node has literal constant
+endpoints — exactly where negative factors and sign-straddling div/mod defeat
+the symbolic rules.  All operations are conservative: the returned interval
+always contains every value the operation can produce for operands inside
+the input intervals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Optional
 
-from .expr import (
-    Add,
-    BoolAnd,
-    BoolNot,
-    BoolOr,
-    Cmp,
-    Const,
-    Expr,
-    FloorDiv,
-    Max,
-    Min,
-    Mod,
-    Mul,
-    Var,
-)
-
-__all__ = ["Interval", "RangeEnv"]
+__all__ = ["Interval"]
 
 
 def _neg(value: Optional[int]) -> Optional[int]:
@@ -90,25 +65,10 @@ class Interval:
         return Interval(value, value)
 
     @staticmethod
-    def nonneg() -> "Interval":
-        return Interval(0, None)
-
-    @staticmethod
     def top() -> "Interval":
         return Interval(None, None)
 
-    @staticmethod
-    def index(extent: int) -> "Interval":
-        """The range of an index into a dimension of size ``extent``."""
-        if extent <= 0:
-            raise ValueError(f"index extent must be positive, got {extent}")
-        return Interval(0, extent - 1)
-
     # -- queries --------------------------------------------------------------
-
-    @property
-    def is_point(self) -> bool:
-        return self.lo is not None and self.lo == self.hi
 
     def contains(self, value: int) -> bool:
         if self.lo is not None and value < self.lo:
@@ -119,24 +79,6 @@ class Interval:
 
     def is_nonnegative(self) -> bool:
         return self.lo is not None and self.lo >= 0
-
-    def is_positive(self) -> bool:
-        return self.lo is not None and self.lo > 0
-
-    def is_negative(self) -> bool:
-        return self.hi is not None and self.hi < 0
-
-    def is_nonzero(self) -> bool:
-        return self.is_positive() or self.is_negative()
-
-    def bounded(self) -> bool:
-        return self.lo is not None and self.hi is not None
-
-    def iter_values(self):
-        """Iterate all values (only valid for bounded intervals)."""
-        if not self.bounded():
-            raise ValueError("cannot enumerate an unbounded interval")
-        return range(self.lo, self.hi + 1)  # type: ignore[arg-type]
 
     # -- lattice --------------------------------------------------------------
 
@@ -159,9 +101,6 @@ class Interval:
 
     def __neg__(self) -> "Interval":
         return Interval(_neg(self.hi), _neg(self.lo))
-
-    def __sub__(self, other: "Interval") -> "Interval":
-        return self + (-other)
 
     def __mul__(self, other: "Interval") -> "Interval":
         corners = []
@@ -274,116 +213,7 @@ class Interval:
             out = out.union(extra)
         return out
 
-    def min(self, other: "Interval") -> "Interval":
-        return Interval(_min_opt([self.lo, other.lo]), _min_opt([self.hi, other.hi]))
-
-    def max(self, other: "Interval") -> "Interval":
-        return Interval(_max_opt([self.lo, other.lo]), _max_opt([self.hi, other.hi]))
-
     def __repr__(self) -> str:
         lo = "-inf" if self.lo is None else str(self.lo)
         hi = "+inf" if self.hi is None else str(self.hi)
         return f"[{lo}, {hi}]"
-
-
-class RangeEnv:
-    """Maps variable names to intervals and evaluates expression ranges.
-
-    The environment is immutable from the caller's point of view: ``with_var``
-    and ``updated`` return new environments.  Construction accepts either
-    :class:`Interval` instances, ``(lo, hi)`` tuples, or plain ints (meaning a
-    point interval).
-    """
-
-    def __init__(self, bindings: Mapping[str, object] | None = None):
-        self._bindings: dict[str, Interval] = {}
-        if bindings:
-            for name, value in bindings.items():
-                self._bindings[name] = self._coerce(value)
-
-    @staticmethod
-    def _coerce(value: object) -> Interval:
-        if isinstance(value, Interval):
-            return value
-        if isinstance(value, int):
-            return Interval.point(value)
-        if isinstance(value, tuple) and len(value) == 2:
-            return Interval(value[0], value[1])
-        raise TypeError(f"cannot interpret {value!r} as an Interval")
-
-    # -- functional updates ---------------------------------------------------
-
-    def with_var(self, name: str, value: object) -> "RangeEnv":
-        new = RangeEnv()
-        new._bindings = dict(self._bindings)
-        new._bindings[name] = self._coerce(value)
-        return new
-
-    def updated(self, bindings: Mapping[str, object]) -> "RangeEnv":
-        new = RangeEnv()
-        new._bindings = dict(self._bindings)
-        for name, value in bindings.items():
-            new._bindings[name] = self._coerce(value)
-        return new
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._bindings
-
-    def __getitem__(self, name: str) -> Interval:
-        return self._bindings[name]
-
-    def get(self, name: str, default: Interval | None = None) -> Interval | None:
-        return self._bindings.get(name, default)
-
-    def items(self):
-        return self._bindings.items()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        inner = ", ".join(f"{k}: {v}" for k, v in sorted(self._bindings.items()))
-        return f"RangeEnv({{{inner}}})"
-
-    # -- analysis -------------------------------------------------------------
-
-    def range_of(self, expr: Expr) -> Interval:
-        """Compute a sound interval for ``expr`` under this environment."""
-        if isinstance(expr, Const):
-            return Interval.point(expr.value)
-        if isinstance(expr, Var):
-            bound = self._bindings.get(expr.name)
-            if bound is not None:
-                return bound
-            meta_range = expr.meta.get("range")
-            if isinstance(meta_range, Interval):
-                return meta_range
-            if isinstance(meta_range, tuple) and len(meta_range) == 2:
-                return Interval(meta_range[0], meta_range[1])
-            return Interval.top()
-        if isinstance(expr, Add):
-            out = Interval.point(0)
-            for arg in expr.args:
-                out = out + self.range_of(arg)
-            return out
-        if isinstance(expr, Mul):
-            out = Interval.point(1)
-            for arg in expr.args:
-                out = out * self.range_of(arg)
-            return out
-        if isinstance(expr, FloorDiv):
-            return self.range_of(expr.numerator).floordiv(self.range_of(expr.denominator))
-        if isinstance(expr, Mod):
-            return self.range_of(expr.value_expr).mod(self.range_of(expr.modulus))
-        if isinstance(expr, Min):
-            out: Interval | None = None
-            for arg in expr.args:
-                r = self.range_of(arg)
-                out = r if out is None else out.min(r)
-            return out if out is not None else Interval.top()
-        if isinstance(expr, Max):
-            out = None
-            for arg in expr.args:
-                r = self.range_of(arg)
-                out = r if out is None else out.max(r)
-            return out if out is not None else Interval.top()
-        if isinstance(expr, (Cmp, BoolAnd, BoolOr, BoolNot)):
-            return Interval(0, 1)
-        return Interval.top()

@@ -8,13 +8,21 @@ the side conditions of its simplification rules (Table II) with Z3.  This
 module provides the reproduction's equivalent machinery:
 
 * :class:`SymInterval` — an interval whose bounds are symbolic expressions
-  (or ``None`` for unbounded ends),
+  (or ``None`` for unbounded ends of a declaration),
 * :class:`SymbolicEnv` — the assumption environment: per-variable ranges,
   divisibility facts (``BK`` divides ``K``) and helper constructors for the
   common "size symbol" (positive) and "index symbol" (``0 <= i < extent``)
   declarations,
-* :meth:`SymbolicEnv.range_of` — sound symbolic interval for an arbitrary
-  expression.
+* :meth:`SymbolicEnv.range_of` — the one range analysis: a sound symbolic
+  interval for an arbitrary expression.  Where every operand has literal
+  constant endpoints it combines them with
+  :class:`~repro.symbolic.ranges.Interval` arithmetic (negative factors,
+  sign-straddling div/mod); a constant times one factor scales that factor's
+  range whatever its sign; a node it cannot bound is its own endpoint, so
+  enclosing sums still cancel against it;
+* :func:`affine_strides` / :func:`is_mixed_radix_bijection` — the
+  environment-free stride decomposition behind static layout-bijectivity
+  proofs.
 
 The structural non-negativity / positivity checks that make symbolic bound
 comparisons possible live in :mod:`repro.symbolic.prover`.
@@ -23,7 +31,9 @@ comparisons possible live in :mod:`repro.symbolic.prover`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from functools import reduce
+from operator import mul
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Tuple
 
 from .expr import (
     Add,
@@ -38,9 +48,16 @@ from .expr import (
     Var,
     as_expr,
 )
+from .ranges import Interval
 from .stats import CACHE_STATS
 
-__all__ = ["EnvCaches", "SymInterval", "SymbolicEnv"]
+__all__ = [
+    "EnvCaches",
+    "SymInterval",
+    "SymbolicEnv",
+    "affine_strides",
+    "is_mixed_radix_bijection",
+]
 
 
 def _opt_expr(value) -> Optional[Expr]:
@@ -80,10 +97,6 @@ class SymInterval:
     def nonneg() -> "SymInterval":
         return SymInterval(Const(0), None)
 
-    @staticmethod
-    def top() -> "SymInterval":
-        return SymInterval(None, None)
-
     # -- queries --------------------------------------------------------------
 
     def constant_bounds(self) -> tuple[Optional[int], Optional[int]]:
@@ -98,13 +111,31 @@ class SymInterval:
         return f"[{lo}, {hi}]"
 
 
+def _interval_range(
+    expr: Expr, ranges: Iterable[SymInterval], combine: Callable[..., Interval]
+) -> SymInterval:
+    """Combine the operand ``ranges`` of ``expr`` with integer
+    :class:`Interval` arithmetic when every endpoint is a literal constant;
+    otherwise ``expr`` is its own range."""
+    intervals = []
+    for r in ranges:
+        if not (isinstance(r.lo, Const) and isinstance(r.hi, Const)):
+            return SymInterval.point(expr)
+        intervals.append(Interval(r.lo.value, r.hi.value))
+    out = combine(*intervals)
+    return SymInterval(out.lo, out.hi)
+
+
+def _known(end: Expr, node: Expr) -> bool:
+    """Does the endpoint ``end`` of ``node`` carry information?  A node that
+    is its own endpoint does not — unless it is a constant."""
+    return end is not node or isinstance(node, Const)
+
+
 class EnvCaches:
     """Every env-scoped memo family behind **one** invalidation epoch.
 
-    The environment used to carry four parallel cache dicts, each cleared by
-    hand when a fact changed; adding the index-range family would have made
-    it five ways to forget one.  This object owns them all: ``invalidate()``
-    bumps the single ``epoch`` (the number that feeds
+    ``invalidate()`` bumps the single ``epoch`` (the number that feeds
     :attr:`SymbolicEnv.fingerprint`) and drops every family at once, so a
     cache entry in *any* family is always consistent with the facts in force
     when it was written.
@@ -114,12 +145,10 @@ class EnvCaches:
     * ``simplify`` — one-pass rewriter results (:mod:`.simplify`),
     * ``fixpoint`` — ``simplify_fixpoint`` chains,
     * ``proof`` — prover verdicts, keyed ``(kind tag, expr ids...)``,
-    * ``range`` — :class:`SymInterval` results of :meth:`SymbolicEnv.range_of`,
-    * ``indexrange`` — :class:`~repro.symbolic.indexrange.IndexRange`
-      results of the stride-aware constant-bounds analysis.
+    * ``range`` — :class:`SymInterval` results of :meth:`SymbolicEnv.range_of`.
     """
 
-    __slots__ = ("epoch", "simplify", "fixpoint", "proof", "range", "indexrange")
+    __slots__ = ("epoch", "simplify", "fixpoint", "proof", "range")
 
     def __init__(self):
         self.epoch = 0
@@ -127,10 +156,9 @@ class EnvCaches:
         self.fixpoint: dict[int, Expr] = {}
         self.proof: dict[tuple, bool] = {}
         self.range: dict[int, SymInterval] = {}
-        self.indexrange: dict[int, object] = {}
 
     def families(self) -> tuple[dict, ...]:
-        return (self.simplify, self.fixpoint, self.proof, self.range, self.indexrange)
+        return (self.simplify, self.fixpoint, self.proof, self.range)
 
     def invalidate(self) -> None:
         """A fact changed: bump the shared epoch, drop every family."""
@@ -146,7 +174,6 @@ class EnvCaches:
         new.fixpoint = dict(self.fixpoint)
         new.proof = dict(self.proof)
         new.range = dict(self.range)
-        new.indexrange = dict(self.indexrange)
         return new
 
 
@@ -187,28 +214,6 @@ class SymbolicEnv:
         # consistent with the facts in force when it was written.
         self.caches = EnvCaches()
         self._range_cutoff_events = 0
-
-    # Back-compat aliases for the pre-unification attribute names; new code
-    # should go through :attr:`caches` directly.
-    @property
-    def _simplify_cache(self) -> dict[int, Expr]:
-        return self.caches.simplify
-
-    @property
-    def _fixpoint_cache(self) -> dict[int, Expr]:
-        return self.caches.fixpoint
-
-    @property
-    def _proof_cache(self) -> dict[tuple, bool]:
-        return self.caches.proof
-
-    @property
-    def _range_cache(self) -> dict[int, SymInterval]:
-        return self.caches.range
-
-    @property
-    def _version(self) -> int:
-        return self.caches.epoch
 
     @property
     def fingerprint(self) -> tuple[int, int]:
@@ -336,12 +341,6 @@ class SymbolicEnv:
 
     # -- lookups --------------------------------------------------------------
 
-    def range_of_var(self, name: str) -> SymInterval:
-        bound = self._ranges.get(name)
-        if bound is not None:
-            return bound
-        return SymInterval.top()
-
     def variables(self) -> Mapping[str, SymInterval]:
         return dict(self._ranges)
 
@@ -377,31 +376,34 @@ class SymbolicEnv:
     def range_of(self, expr: Expr, _depth: int = 0) -> SymInterval:
         """Compute a sound symbolic interval for ``expr`` (memoised).
 
-        Results are cached per expression identity; a result computed under a
-        depth cutoff (which conservatively widens to ``top``) is *not* cached
-        so that a later shallow query is not poisoned by a deep one.
+        Both endpoints are always expressions: an end the analysis cannot
+        bound is ``expr`` itself, which is exact, so an enclosing sum still
+        cancels against it.  Results are cached per expression identity; a
+        result computed under the depth cutoff is *not* cached, so a later
+        shallow query is not poisoned by a deep one.
         """
-        cached = self._range_cache.get(expr._id)
+        cached = self.caches.range.get(expr._id)
         if cached is not None:
             CACHE_STATS.range_hits += 1
             return cached
         cutoffs_before = self._range_cutoff_events
         result = self._range_of_dispatch(expr, _depth)
-        if self._positive_exprs and expr in self._positive_exprs:
-            lo = result.lo
-            if lo is None or (isinstance(lo, Const) and lo.value < 1):
-                result = SymInterval(Const(1), result.hi)
+        lo = expr if result.lo is None else result.lo
+        hi = expr if result.hi is None else result.hi
+        if expr in self._positive_exprs and (
+            lo.value < 1 if isinstance(lo, Const) else lo is expr
+        ):
+            lo = Const(1)
+        result = SymInterval(lo, hi)
         if self._range_cutoff_events == cutoffs_before:
             CACHE_STATS.range_misses += 1
-            self._range_cache[expr._id] = result
+            self.caches.range[expr._id] = result
         return result
 
     def _range_of_dispatch(self, expr: Expr, _depth: int = 0) -> SymInterval:
-        from .prover import is_nonneg, is_positive
-
         if _depth > self._max_depth:
             self._range_cutoff_events += 1
-            return SymInterval.top()
+            return SymInterval.point(expr)
         depth = _depth + 1
 
         if isinstance(expr, Const):
@@ -413,17 +415,10 @@ class SymbolicEnv:
             meta_range = expr.meta.get("range")
             if isinstance(meta_range, tuple) and len(meta_range) == 2:
                 return SymInterval(_opt_expr(meta_range[0]), _opt_expr(meta_range[1]))
-            return SymInterval.top()
+            return SymInterval.point(expr)
         if isinstance(expr, Add):
-            # Every term is its own (trivial) bound, so a sum always has
-            # symbolic bounds; tighter per-term bounds are used when known.
-            lo: Optional[Expr] = Const(0)
-            hi: Optional[Expr] = Const(0)
-            for arg in expr.args:
-                r = self.range_of(arg, depth)
-                lo = lo + (r.lo if r.lo is not None else arg)
-                hi = hi + (r.hi if r.hi is not None else arg)
-            return SymInterval(lo, hi)
+            ranges = [self.range_of(arg, depth) for arg in expr.args]
+            return SymInterval(Add(*(r.lo for r in ranges)), Add(*(r.hi for r in ranges)))
         if isinstance(expr, Mul):
             return self._range_of_mul(expr, depth)
         if isinstance(expr, FloorDiv):
@@ -441,111 +436,200 @@ class SymbolicEnv:
         from .prover import is_nonneg
 
         # Pull out a literal constant coefficient to handle negation cleanly.
-        const_coeff = 1
+        coeff = 1
         rest: list[Expr] = []
         for arg in expr.args:
             if isinstance(arg, Const):
-                const_coeff *= arg.value
+                coeff *= arg.value
             else:
                 rest.append(arg)
         if not rest:
-            return SymInterval.point(Const(const_coeff))
-        rest_ranges = [self.range_of(a, depth) for a in rest]
-        if not all(is_nonneg(a, self) for a in rest):
-            return SymInterval.top()
-        # All non-constant factors are non-negative, so the product is
-        # monotone in each factor and every factor is its own trivial upper
-        # bound when no tighter bound is known.
-        lo: Optional[Expr] = Const(1)
-        hi: Optional[Expr] = Const(1)
-        for factor, r in zip(rest, rest_ranges):
-            lo = None if (lo is None or r.lo is None) else Mul(lo, r.lo)
-            hi = Mul(hi, r.hi if r.hi is not None else factor)
-        if lo is None:
-            lo = Const(0)
-        if const_coeff >= 0:
-            return SymInterval(
-                Mul(const_coeff, lo),
-                None if hi is None else Mul(const_coeff, hi),
+            return SymInterval.point(Const(coeff))
+        ranges = [self.range_of(a, depth) for a in rest]
+        if len(rest) == 1:
+            # a scaled factor: its own range, whatever its sign
+            lo, hi = ranges[0].lo, ranges[0].hi
+        elif all(is_nonneg(a, self) for a in rest):
+            # All factors are non-negative, so the product is monotone in
+            # each factor; an unknown lower end weakens to 0.
+            hi = Mul(*(r.hi for r in ranges))
+            if not all(_known(r.lo, a) for a, r in zip(rest, ranges)):
+                lo = Const(0)
+            else:
+                lo = Mul(*(r.lo for r in ranges))
+        else:
+            return _interval_range(
+                expr, ranges, lambda *factors: reduce(mul, factors, Interval(coeff, coeff))
             )
+        if coeff >= 0:
+            return SymInterval(Mul(coeff, lo), Mul(coeff, hi))
         # negative coefficient flips the interval
-        return SymInterval(
-            None if hi is None else Mul(const_coeff, hi),
-            Mul(const_coeff, lo),
-        )
+        return SymInterval(Mul(coeff, hi), Mul(coeff, lo))
 
     def _range_of_floordiv(self, expr: FloorDiv, depth: int) -> SymInterval:
         from .prover import is_nonneg, is_positive
         from .simplify import simplify
 
         num, den = expr.numerator, expr.denominator
-        if is_nonneg(num, self) and is_positive(den, self):
-            num_range = self.range_of(num, depth)
-            hi: Optional[Expr] = None
-            if num_range.hi is not None:
-                # x <= hi  and  d >= 1  imply  x // d <= hi // d
-                hi = simplify(FloorDiv(num_range.hi, den), self, _depth=depth)
-            lo: Expr = Const(0)
-            if num_range.lo is not None:
-                den_range = self.range_of(den, depth)
-                if den_range.hi is not None:
-                    lo = simplify(FloorDiv(num_range.lo, den_range.hi), self, _depth=depth)
-            return SymInterval(lo, hi)
-        return SymInterval.top()
+        if not (is_nonneg(num, self) and is_positive(den, self)):
+            ranges = (self.range_of(num, depth), self.range_of(den, depth))
+            return _interval_range(expr, ranges, Interval.floordiv)
+        num_range = self.range_of(num, depth)
+        hi: Expr = expr
+        if _known(num_range.hi, num):
+            # x <= hi  and  d >= 1  imply  x // d <= hi // d
+            hi = simplify(FloorDiv(num_range.hi, den), self, _depth=depth)
+        lo: Expr = Const(0)
+        if _known(num_range.lo, num):
+            den_range = self.range_of(den, depth)
+            if _known(den_range.hi, den):
+                lo = simplify(FloorDiv(num_range.lo, den_range.hi), self, _depth=depth)
+        return SymInterval(lo, hi)
 
     def _range_of_mod(self, expr: Mod, depth: int) -> SymInterval:
         from .prover import is_nonneg, is_positive, prove_le
 
         value, modulus = expr.value_expr, expr.modulus
-        if is_positive(modulus, self):
-            value_range = self.range_of(value, depth)
-            hi: Expr = modulus - 1
-            if (
-                value_range.hi is not None
-                and is_nonneg(value, self)
-                and prove_le(value_range.hi, modulus - 1, self)
-            ):
-                # the value never wraps: the mod is the identity on its range
-                return SymInterval(value_range.lo or Const(0), value_range.hi)
-            return SymInterval(Const(0), hi)
-        return SymInterval.top()
+        value_range = self.range_of(value, depth)
+        if not is_positive(modulus, self):
+            ranges = (value_range, self.range_of(modulus, depth))
+            return _interval_range(expr, ranges, Interval.mod)
+        if (
+            _known(value_range.hi, value)
+            and is_nonneg(value, self)
+            and prove_le(value_range.hi, modulus - 1, self)
+        ):
+            # the value never wraps: the mod is the identity on its range
+            lo = value_range.lo if _known(value_range.lo, value) else Const(0)
+            return SymInterval(lo, value_range.hi)
+        return SymInterval(Const(0), modulus - 1)
 
     def _range_of_min(self, expr: Min, depth: int) -> SymInterval:
         from .prover import is_nonneg
 
-        arg_ranges = [self.range_of(a, depth) for a in expr.args]
-        # Upper bound: Min(args) <= Min of per-argument upper bounds; an
-        # argument without a known bound is its own (trivial) upper bound, so
-        # e.g. Min(GM, nt_m) with unbounded size symbols stays bounded by the
-        # Min expression itself — which the relational prover can then use.
-        hi_parts = [r.hi if r.hi is not None else arg for arg, r in zip(expr.args, arg_ranges)]
-        hi: Optional[Expr] = Min(*hi_parts) if hi_parts else None
-        lo: Optional[Expr] = None
-        const_los = [r.lo for r in arg_ranges]
-        if all(isinstance(b, Const) for b in const_los if b is not None) and all(
-            b is not None for b in const_los
-        ):
-            lo = Const(min(b.value for b in const_los))  # type: ignore[union-attr]
+        ranges = [self.range_of(a, depth) for a in expr.args]
+        # Min(args) <= Min of per-argument upper bounds; an argument without
+        # a known bound is its own upper bound, so e.g. Min(GM, nt_m) with
+        # unbounded size symbols stays bounded by the Min expression itself
+        # — which the relational prover can then use.
+        hi = Min(*(r.hi for r in ranges))
+        lo: Expr = expr
+        if all(isinstance(r.lo, Const) for r in ranges):
+            lo = Const(min(r.lo.value for r in ranges))
         elif all(is_nonneg(a, self) for a in expr.args):
             lo = Const(0)
         return SymInterval(lo, hi)
 
     def _range_of_max(self, expr: Max, depth: int) -> SymInterval:
-        arg_ranges = [self.range_of(a, depth) for a in expr.args]
-        lo: Optional[Expr] = None
-        for r in arg_ranges:
-            if r.lo is not None:
-                lo = r.lo if lo is None else Max(lo, r.lo)
-        # Symmetric to Min: Max(args) <= Max of per-argument upper bounds,
-        # falling back to the argument itself when its bound is unknown.
-        hi_parts = [r.hi if r.hi is not None else arg for arg, r in zip(expr.args, arg_ranges)]
-        hi: Optional[Expr] = Max(*hi_parts) if hi_parts else None
-        const_his = [r.hi for r in arg_ranges]
-        if all(b is not None and isinstance(b, Const) for b in const_his):
-            hi = Const(max(b.value for b in const_his))  # type: ignore[union-attr]
-        return SymInterval(lo, hi)
+        ranges = [self.range_of(a, depth) for a in expr.args]
+        # Max(args) >= every known per-argument lower bound.
+        known = [r.lo for a, r in zip(expr.args, ranges) if _known(r.lo, a)]
+        lo = Max(*known) if known else expr
+        return SymInterval(lo, Max(*(r.hi for r in ranges)))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         parts = [f"{k}: {v}" for k, v in sorted(self._ranges.items())]
         divs = [f"{d} | {x}" for (x, d) in self._divisibility]
         return "SymbolicEnv(" + "; ".join(parts + divs) + ")"
+
+
+# ---------------------------------------------------------------------------
+# exact affine decomposition (env-independent)
+# ---------------------------------------------------------------------------
+
+
+def affine_strides(
+    expr: ExprLike, variables: Sequence[str]
+) -> Optional[Tuple[int, dict]]:
+    """Decompose ``expr`` into ``const + Σ strides[v] · v`` exactly.
+
+    Returns ``(const, {name: stride})`` when the expression is an affine
+    combination of the given variables (and nothing else); ``None`` when any
+    free variable is outside ``variables`` or the structure is non-affine
+    (div/mod/min/max of a variable term).  Purely structural — no
+    environment, no approximation — so a non-``None`` result is an identity.
+    """
+    expr = as_expr(expr)
+    allowed = set(variables)
+
+    def walk(node: Expr) -> Optional[Tuple[int, dict]]:
+        if isinstance(node, Const):
+            return node.value, {}
+        if isinstance(node, Var):
+            if node.name not in allowed:
+                return None
+            return 0, {node.name: 1}
+        if isinstance(node, Add):
+            const = 0
+            strides: dict[str, int] = {}
+            for arg in node.args:
+                part = walk(arg)
+                if part is None:
+                    return None
+                const += part[0]
+                for name, coeff in part[1].items():
+                    strides[name] = strides.get(name, 0) + coeff
+            return const, strides
+        if isinstance(node, Mul):
+            coeff = 1
+            linear: Optional[Tuple[int, dict]] = None
+            for arg in node.args:
+                if isinstance(arg, Const):
+                    coeff *= arg.value
+                    continue
+                part = walk(arg)
+                if part is None:
+                    return None
+                if part[1]:
+                    if linear is not None:
+                        return None  # variable × variable: not affine
+                    linear = part
+                else:
+                    coeff *= part[0]
+            if linear is None:
+                return coeff, {}
+            const = linear[0] * coeff
+            return const, {name: c * coeff for name, c in linear[1].items()}
+        return None
+
+    result = walk(expr)
+    if result is None:
+        return None
+    const, strides = result
+    return const, {name: c for name, c in strides.items() if c != 0}
+
+
+def is_mixed_radix_bijection(
+    const: int, pairs: Iterable[Tuple[int, int]], total: int
+) -> bool:
+    """Is ``const + Σ stride_k · i_k`` (``0 <= i_k < extent_k``) a bijection
+    onto ``[0, total)``?
+
+    ``pairs`` is the ``(stride, extent)`` list of the affine offset.  The map
+    is a bijection exactly when the constant term is zero and the strides,
+    sorted increasingly (dimensions of extent 1 contribute nothing and are
+    skipped), form a *permuted mixed-radix basis*: the smallest stride is 1
+    and each subsequent stride is the previous stride times the previous
+    extent, with the extents multiplying out to ``total``.  This is the
+    static form of the LUD ``element_offset`` check that previously ran by
+    enumerating every index combination at runtime.
+    """
+    if const != 0 or total <= 0:
+        return False
+    live: list[Tuple[int, int]] = []
+    for stride, extent in pairs:
+        if extent <= 0:
+            return False
+        if extent == 1:
+            continue
+        if stride <= 0:
+            # with const == 0 a negative or zero stride cannot reach [0, total)
+            return False
+        live.append((stride, extent))
+    live.sort()
+    expected = 1
+    for stride, extent in live:
+        if stride != expected:
+            return False
+        expected *= extent
+    return expected == total

@@ -508,7 +508,7 @@ def test_search_result_serializes_engine_and_stage_seconds():
     assert summary["device"] == "h100"
 
 
-# -- range-analysis instrumentation (ISSUE: stride-aware range analysis) ------------
+# -- range-analysis instrumentation ---------------------------------------------------
 
 
 def test_symbolic_range_span_nests_under_codegen_lower():

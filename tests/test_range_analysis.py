@@ -1,4 +1,4 @@
-"""Stride-aware range analysis: intervals, IndexRange, unified caches, proofs."""
+"""Range analysis: intervals, range_of, strides, unified caches, proofs."""
 
 import pytest
 
@@ -6,12 +6,12 @@ from repro.symbolic import (
     Const,
     EnvCaches,
     Interval,
+    Max,
+    Min,
     SymbolicEnv,
     Var,
     affine_strides,
     as_expr,
-    constant_interval,
-    index_range,
     is_mixed_radix_bijection,
     prove_in_bounds,
     prove_le,
@@ -102,44 +102,65 @@ def test_interval_mod_precision():
     assert Interval(0, 100).mod(Interval(-8, -8)) == Interval(-7, 0)
 
 
-# -- IndexRange ---------------------------------------------------------------------
+# -- range_of: interval arithmetic, scaled factors, opaque nodes --------------------
 
 
-def test_index_range_of_declared_index_is_constant():
+def test_range_of_declared_index_is_constant():
     env = SymbolicEnv()
     i = env.declare_index("i", 16)
-    r = index_range(i, env)
-    assert r.is_constant()
-    assert (r.lo, r.hi) == (0, 15)
-    assert constant_interval(i * 4 + 3, env) == Interval(3, 63)
+    assert env.range_of(i).constant_bounds() == (0, 15)
+    assert env.range_of(i * 4 + 3).constant_bounds() == (3, 63)
 
 
-def test_index_range_add_cancels_opaque_bases():
+def test_range_of_opaque_node_is_its_own_endpoint():
     env = SymbolicEnv()
-    x = Var("x")  # undeclared: opaque
-    r = index_range(x - x, env)
-    # the opaque fallback is exact (offset interval [0, 0]), so the
-    # enclosing Add cancels to a constant zero range
-    assert r.is_constant()
-    assert (r.lo, r.hi) == (0, 0)
+    x, y = Var("x"), Var("y")  # undeclared: opaque
+    assert env.range_of(as_expr(x) - x).constant_bounds() == (0, 0)
+    i = env.declare_index("i", 16)
+    product = x * y
+    r = env.range_of(product + i)
+    # the opaque product is exact as its own endpoint, so the enclosing
+    # sum's endpoints cancel against it
+    assert (r.lo - product, r.hi - product) == (as_expr(0), as_expr(15))
 
 
-def test_index_range_strides_track_affine_coefficients():
+def test_range_of_keeps_unbounded_terms_symbolic():
     env = SymbolicEnv()
     i = env.declare_index("i", 4)
     x = Var("x")
-    r = index_range(x * 16 + i, env)
-    assert not r.is_constant()
-    assert r.stride_of("x") == 16
-    assert (r.lo, r.hi) == (0, 3)
+    r = env.range_of(x * 16 + i)
+    assert (r.lo, r.hi) == (16 * x, 16 * x + 3)
 
 
-def test_index_range_mod_by_positive_constant_bounds():
+def test_range_of_mod_by_positive_constant_bounds():
     env = SymbolicEnv()
     x = Var("x")
-    r = index_range(x % 8, env)
-    assert r.is_constant()
-    assert (r.lo, r.hi) == (0, 7)
+    assert env.range_of(x % 8).constant_bounds() == (0, 7)
+
+
+def test_range_of_scales_a_factor_of_either_sign():
+    env = SymbolicEnv()
+    x = env.declare_range("x", -5, 5)
+    assert env.range_of(2 * as_expr(x)).constant_bounds() == (-10, 10)
+    assert env.range_of(-3 * as_expr(x)).constant_bounds() == (-15, 15)
+    n = Var("n")
+    env.declare_range("k", 0, n)
+    # a symbolic range flips under a negative coefficient
+    r = env.range_of(-2 * Var("k"))
+    assert (r.lo, r.hi) == (-2 * n, as_expr(0))
+
+
+def test_range_of_uses_interval_arithmetic_on_constant_operands():
+    env = SymbolicEnv()
+    x = as_expr(env.declare_range("x", -5, 5))
+    y = as_expr(env.declare_range("y", -2, 3))
+    assert env.range_of(x * y).constant_bounds() == (-15, 15)
+    # straddling numerator and divisor: floor semantics on both signs
+    assert env.range_of(x // y).constant_bounds() == (-5, 5)
+    assert env.range_of(x % 4).constant_bounds() == (0, 3)
+    assert env.range_of(x % y).constant_bounds() == (-1, 2)
+    assert env.range_of(Min(x, y)).constant_bounds() == (-5, 3)
+    assert env.range_of(Max(x, y)).constant_bounds() == (-2, 5)
 
 
 # -- affine_strides / is_mixed_radix_bijection --------------------------------------
@@ -187,7 +208,7 @@ def test_env_caches_share_one_invalidation_epoch():
     # populate several families through their public entry points
     simplify_fixpoint((i + 8) % 8, env)
     prove_nonneg(i, env)
-    index_range(i, env)
+    env.range_of(i)
     populated = [fam for fam in caches.families() if fam]
     assert len(populated) >= 3
     epoch = caches.epoch
@@ -201,7 +222,7 @@ def test_env_caches_share_one_invalidation_epoch():
 def test_env_copy_snapshots_caches():
     env = SymbolicEnv()
     i = env.declare_index("i", 8)
-    index_range(i, env)
+    env.range_of(i)
     clone = env.copy()
     clone.declare_index("j", 4)
     # the clone invalidated its own caches; the original kept its entries
@@ -228,14 +249,14 @@ def test_mod_interval_collapse_rewrites_to_offset():
         assert simplified.evaluate({"j": value}) == value % 4
 
 
-# -- prover: stride-aware stage and the in-bounds query -----------------------------
+# -- prover: the range_of rung and the in-bounds query ------------------------------
 
 
 def test_prove_nonneg_through_possibly_negative_scaling():
     env = SymbolicEnv()
     x = env.declare_range("x", -5, 5)
-    # range_of treats a product with a possibly-negative factor as top;
-    # the IndexRange stage bounds 2x + 10 to [0, 20] directly
+    # the structural rung cannot sign a possibly-negative factor; range_of
+    # scales x's range and bounds 2x + 10 to [0, 20] directly
     assert prove_nonneg(2 * as_expr(x) + 10, env)
     assert not prove_nonneg(2 * as_expr(x) + 9, env)
 

@@ -8,7 +8,8 @@ These properties check the analysis against brute force over small boxes:
 * every value of every sub-expression lies within the ``range_of``
   endpoints evaluated at the same point;
 * every ``True`` from ``prove_nonneg``/``prove_positive``/``prove_le``/
-  ``prove_in_bounds`` holds at every point of the box;
+  ``prove_in_bounds`` and from ``prove`` on guard predicates (the query
+  ``prove_guard_redundant`` makes) holds at every point of the box;
 * ``is_mixed_radix_bijection`` agrees with enumerating the offsets.
 
 Expressions come from :func:`repro.check.fuzz.random_expr` under a fixed
@@ -20,9 +21,11 @@ import random
 
 from repro.check.fuzz import random_expr
 from repro.symbolic import (
+    BoolAnd,
     SymbolicEnv,
     Var,
     is_mixed_radix_bijection,
+    prove,
     prove_in_bounds,
     prove_le,
     prove_nonneg,
@@ -111,6 +114,10 @@ def test_range_of_and_prover_verdicts_hold_on_every_point():
             (prove_in_bounds(expr, low, high, env), True),
             (prove_in_bounds(expr, low + 1, high, env), False),
             (prove_in_bounds(expr, low, high - 1, env), False),
+            (prove(BoolAnd(expr.ge(low), expr.le(high)), env), True),
+            (prove(BoolAnd(expr.ge(low), expr.lt(high)), env), False),
+            (prove(expr.lt(other), env), all(a < b for a, b in zip(values, others))),
+            (prove(expr.ne(other), env), all(a != b for a, b in zip(values, others))),
         ]
         for k, (verdict, truth) in enumerate(claims):
             assert not verdict or truth, (trial, k, str(expr), str(other))
