@@ -101,8 +101,14 @@ def skewed_buffer_layout(block: int, skew: int) -> GroupBy:
 NW_BUFFER_LAYOUTS = ("antidiagonal", "skew1", "skew2", "row", "col")
 
 
+@functools.lru_cache(maxsize=None)
 def nw_buffer_layout(block: int, name: str) -> GroupBy | None:
-    """Resolve one value of the layout axis to a buffer layout (``None`` = row-major)."""
+    """Resolve one value of the layout axis to a buffer layout (``None`` = row-major).
+
+    Memoised: every caller asking for one ``(block, name)`` — the analytic
+    evaluate, the perf case and the check case — shares one immutable
+    ``GroupBy``, and so one permutation table.
+    """
     width = block + 1
     if name == "row":
         return None
@@ -447,6 +453,26 @@ def nw_speedup(
     }
 
 
+@functools.lru_cache(maxsize=None)
+def _nw_analytic_trace(layout: str, block: int, device: DeviceSpec) -> tuple[NwConfig, CudaTrace]:
+    """The traced problem behind NW's analytic evaluate, simulated once per key.
+
+    Runs the blocked kernel on a ``4*block`` problem with the fixed
+    ``default_rng(0)`` substitution scores and returns the traced
+    :class:`NwConfig` and its :class:`CudaTrace`.  The trace depends only on
+    ``(layout, block, device)``, so the tuner's sweep and the profiler's
+    disagreement column share one simulation.  Callers must not mutate the
+    returned trace.
+    """
+    trace_n = 4 * block
+    traced = NwConfig(n=trace_n, block=block)
+    rng = np.random.default_rng(0)
+    reference = rng.integers(-4, 5, size=(trace_n, trace_n)).astype(np.int32)
+    _, trace = run_nw_blocked(reference, traced, layout=nw_buffer_layout(block, layout),
+                              device=device)
+    return traced, trace
+
+
 def app_spec():
     """The NW :class:`~repro.apps.registry.AppSpec` for the autotuner.
 
@@ -455,8 +481,10 @@ def app_spec():
     small problem on the mini-CUDA substrate — the bank-conflict profile is
     a per-block property — and extrapolates the latency model to the target
     size, exactly like :func:`nw_speedup`; the conflict factor rides along
-    as a metric.  The paper's anti-diagonal layout is listed first so that
-    other conflict-free candidates (skew 1) cannot win on an exact tie.
+    as a metric.  The trace is memoised per ``(layout, block, device)``
+    (:func:`_nw_analytic_trace`), so only the latency model runs per call.
+    The paper's anti-diagonal layout is listed first so that other
+    conflict-free candidates (skew 1) cannot win on an exact tie.
     """
     from ..tune.space import Choice, SearchSpace
     from .registry import AppSpec, register_app
@@ -469,13 +497,8 @@ def app_spec():
 
     def evaluate(config, device=A100_80GB):
         block = config["block"]
-        trace_n = 4 * block
-        traced = NwConfig(n=trace_n, block=block)
+        traced, trace = _nw_analytic_trace(config["layout"], block, device)
         target = NwConfig(n=config.get("n", n), block=block)
-        rng = np.random.default_rng(0)
-        reference = rng.integers(-4, 5, size=(trace_n, trace_n)).astype(np.int32)
-        layout = nw_buffer_layout(block, config["layout"])
-        _, trace = run_nw_blocked(reference, traced, layout=layout, device=device)
         return {
             "time_seconds": nw_performance(trace, traced, target, device=device),
             "conflict_factor": trace.bank_conflict_factor,

@@ -21,6 +21,7 @@ factory); this module resolves names lazily so ``import repro`` stays light.
 
 from __future__ import annotations
 
+import inspect
 import threading
 from dataclasses import dataclass, field
 from importlib import import_module
@@ -28,7 +29,10 @@ from typing import Callable, Mapping
 
 from ..tune.space import SearchSpace
 
-__all__ = ["AppSpec", "CheckCase", "PerfCase", "register_app", "get_app", "available_apps"]
+__all__ = [
+    "AppSpec", "CheckCase", "PerfCase", "accepts_device", "register_app", "get_app",
+    "available_apps",
+]
 
 
 @dataclass(frozen=True)
@@ -126,6 +130,23 @@ class AppSpec:
         if self.generate_params is None:
             return dict(config)
         return {key: config[key] for key in self.generate_params if key in config}
+
+
+def accepts_device(fn: Callable) -> bool:
+    """Does this app callable (evaluate, case builder, execute) take a ``device`` kwarg?
+
+    App callables are registered long before a device is chosen, so the
+    device is threaded through as an *optional* keyword: callables that
+    declare it (or ``**kwargs``) model and trace the given device, ad-hoc
+    ones keep their device-free defaults.
+    """
+    try:
+        parameters = inspect.signature(fn).parameters
+    except (TypeError, ValueError):
+        return False
+    return "device" in parameters or any(
+        p.kind is inspect.Parameter.VAR_KEYWORD for p in parameters.values()
+    )
 
 
 _APPS: dict[str, AppSpec] = {}

@@ -125,6 +125,7 @@ class GroupBy:
             raise ValueError("GroupBy requires a non-empty logical shape")
         self._order_bys = tuple(order_bys)
         self._validate_sizes()
+        self._perm = None  # permutation_vector() memo
 
     # -- construction ----------------------------------------------------------
 
@@ -244,15 +245,25 @@ class GroupBy:
         return len(seen) == total
 
     def permutation_vector(self):
-        """Return ``perm`` with ``perm[logical_flat] = physical_flat`` (concrete only)."""
-        import numpy as np
+        """Return ``perm`` with ``perm[logical_flat] = physical_flat`` (concrete only).
 
-        if not self.is_concrete():
-            raise TypeError("permutation_vector requires a concrete layout")
-        out = np.empty(self.size(), dtype=np.int64)
-        for coords in self.iter_logical_indices():
-            out[flatten_index(coords, self._shape)] = self.apply(coords)
-        return out
+        The table is built once per instance and returned read-only
+        (``flags.writeable`` is ``False``): a ``GroupBy`` never changes —
+        ``OrderBy`` returns a new one — so every shared or global array laid
+        out by this layout indexes the same table instead of re-running
+        ``apply`` at every element.
+        """
+        if self._perm is None:
+            import numpy as np
+
+            if not self.is_concrete():
+                raise TypeError("permutation_vector requires a concrete layout")
+            out = np.empty(self.size(), dtype=np.int64)
+            for coords in self.iter_logical_indices():
+                out[flatten_index(coords, self._shape)] = self.apply(coords)
+            out.flags.writeable = False
+            self._perm = out
+        return self._perm
 
     def physical_table(self):
         """Return ``table`` with ``table[physical_flat] = logical_flat`` (concrete only).

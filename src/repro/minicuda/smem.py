@@ -24,7 +24,7 @@ __all__ = ["SharedArray", "GlobalArray"]
 
 
 def _layout_table(layout, shape: tuple[int, ...]) -> np.ndarray | None:
-    """Precompute ``logical flat -> physical flat`` for a concrete layout."""
+    """A concrete layout's ``logical flat -> physical flat`` table (shared, read-only)."""
     if layout is None:
         return None
     table = layout.permutation_vector()

@@ -30,7 +30,7 @@ __all__ = ["main", "run_instrumented_autotune"]
 #: the named stages the acceptance gate requires the span tree to cover
 REQUIRED_STAGES = (
     "search.prefilter",   # analytic pre-filter sweep
-    "tune.model",         # analytic cost-model evaluation
+    "tune.evaluate",      # analytic AppSpec.evaluate of the candidates
     "serve.compile",      # compile-service batch (client side)
     "vm.execute",         # substrate execution under the VM engine
     "search.measure",     # measured re-rank of the survivors

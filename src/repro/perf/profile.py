@@ -32,36 +32,18 @@ path as the verification subsystem, so a profile reproduces exactly.
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass, field, replace
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from ..apps.registry import AppSpec, PerfCase, available_apps, get_app
+from ..apps.registry import AppSpec, PerfCase, accepts_device, available_apps, get_app
 from ..check.runner import resolve_case_kernel, sample_configs, stable_seed
 from ..gpusim import A100_80GB, DeviceSpec, KernelCost, TimeBreakdown, estimate_time
 from ..obs.trace import span
 from .adapters import trace_metrics, trace_to_cost
 
 __all__ = ["KernelProfile", "profile", "profile_app", "profile_all"]
-
-
-def _accepts_device(fn: Callable) -> bool:
-    """Does this case builder / execute callable take a ``device`` kwarg?
-
-    Case builders and executes are plain callables registered long before a
-    device is chosen, so the device is threaded through as an *optional*
-    keyword: callables that declare it record their traces at the device's
-    warp width / sector granularity, older ones keep the CUDA defaults.
-    """
-    try:
-        parameters = inspect.signature(fn).parameters
-    except (TypeError, ValueError):
-        return False
-    return "device" in parameters or any(
-        p.kind is inspect.Parameter.VAR_KEYWORD for p in parameters.values()
-    )
 
 
 @dataclass
@@ -160,7 +142,7 @@ def _analytic_seconds(spec: AppSpec, config: Mapping, device: DeviceSpec) -> flo
     measured-vs-analytic disagreement compares two models of the *same*
     device rather than the caller's device against the default A100.
     """
-    if _accepts_device(spec.evaluate):
+    if accepts_device(spec.evaluate):
         result = spec.evaluate(dict(config), device=device)
     else:
         result = spec.evaluate(dict(config))
@@ -207,7 +189,7 @@ def profile(
             stable_seed(seed, "perf", spec.name, {k: config[k] for k in sorted(config)})
         )
         try:
-            if _accepts_device(builder):
+            if accepts_device(builder):
                 case = builder(dict(config), rng, device=device)
             else:
                 case = builder(dict(config), rng)
@@ -236,7 +218,7 @@ def profile(
             with use_engine(resolved_engine):
                 with span("vm.execute", "vm", app=spec.name, engine=resolved_engine,
                           kernel=report.kernel or spec.name):
-                    if _accepts_device(case.execute):
+                    if accepts_device(case.execute):
                         _, trace = case.execute(kernel, device=device)
                     else:
                         _, trace = case.execute(kernel)
@@ -254,6 +236,7 @@ def profile(
                 full_cost = replace(cost.scaled(scale), launches=launches)
                 report.extrapolated = estimate_time(full_cost, device)
                 report.metrics = trace_metrics(trace, device)
+            with span("perf.analytic", "perf", app=spec.name):
                 report.analytic_seconds = _analytic_seconds(spec, target_config, device)
         except Exception as exc:
             report.status = "failed"

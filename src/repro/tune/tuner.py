@@ -146,28 +146,16 @@ def _normalize_result(result) -> dict:
     return {"time_seconds": float(result)}
 
 
-def _accepts_device(fn) -> bool:
-    """Does this evaluate callable take a ``device`` kwarg?
+def _evaluate_many(spec, configs: list, device) -> list[dict]:
+    """Evaluate ``configs``, forwarding ``device`` when ``spec.evaluate`` takes one.
 
-    The registered apps all do; ad-hoc test/notebook specs may not, and
-    they keep evaluating device-free (their results are cached without a
-    device component either — see :func:`_evaluate_one`).
+    The signature is inspected once per call, not once per config.
     """
-    import inspect
+    from ..apps.registry import accepts_device
 
-    try:
-        parameters = inspect.signature(fn).parameters
-    except (TypeError, ValueError):
-        return False
-    return "device" in parameters or any(
-        p.kind is inspect.Parameter.VAR_KEYWORD for p in parameters.values()
-    )
-
-
-def _evaluate_one(spec, config, device) -> dict:
-    if device is not None and _accepts_device(spec.evaluate):
-        return _normalize_result(spec.evaluate(config, device=device))
-    return _normalize_result(spec.evaluate(config))
+    if device is not None and accepts_device(spec.evaluate):
+        return [_normalize_result(spec.evaluate(config, device=device)) for config in configs]
+    return [_normalize_result(spec.evaluate(config)) for config in configs]
 
 
 def _pool_evaluate(job: tuple) -> dict:
@@ -175,7 +163,7 @@ def _pool_evaluate(job: tuple) -> dict:
     app_name, config, device = job
     from ..apps.registry import get_app
 
-    return _evaluate_one(get_app(app_name), config, device)
+    return _evaluate_many(get_app(app_name), [config], device)[0]
 
 
 def _service_backed(spec) -> bool:
@@ -277,7 +265,7 @@ def evaluate_configs(
     # only works for the module-backed apps; ad-hoc AppSpecs evaluate serially.
     from ..apps.registry import _APP_MODULES
 
-    with span("tune.model", "tune", app=spec.name,
+    with span("tune.evaluate", "tune", app=spec.name,
               configs=len(configs), cached=len(configs) - len(missing)):
         if missing and parallel and parallel > 1 and spec.name in _APP_MODULES:
             from concurrent.futures import ProcessPoolExecutor
@@ -287,7 +275,7 @@ def evaluate_configs(
             with ProcessPoolExecutor(max_workers=parallel) as pool:
                 fresh = list(pool.map(_pool_evaluate, jobs, chunksize=chunksize))
         else:
-            fresh = [_evaluate_one(spec, configs[i], device) for i in missing]
+            fresh = _evaluate_many(spec, [configs[i] for i in missing], device)
 
     for i, result in zip(missing, fresh):
         cache.put(keys[i], result)

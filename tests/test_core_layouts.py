@@ -143,6 +143,31 @@ def test_permutation_vector_and_physical_table_are_inverse():
     assert np.array_equal(table[perm], np.arange(36))
 
 
+def test_permutation_vector_is_built_once_and_read_only():
+    layout = figure6_layout()
+    perm = layout.permutation_vector()
+    assert layout.permutation_vector() is perm
+    with pytest.raises(ValueError):
+        perm[0] = 1
+    # a new OrderBy is a new layout with its own table
+    assert layout.OrderBy(RegP([36], [1])).permutation_vector() is not perm
+
+
+@pytest.mark.parametrize("name", ["antidiagonal", "skew1", "col"])
+def test_cached_nw_buffer_table_matches_apply(name):
+    from repro.apps.nw import nw_buffer_layout
+
+    nw_buffer_layout.cache_clear()
+    block = 8
+    layout = nw_buffer_layout(block, name)
+    assert nw_buffer_layout(block, name) is layout
+    perm = layout.permutation_vector()
+    width = block + 1
+    for i in range(width):
+        for j in range(width):
+            assert perm[i * width + j] == layout.apply(i, j)
+
+
 def test_verify_requires_concrete_layout():
     symbolic = GroupBy([Var("N"), 4])
     with pytest.raises(TypeError):

@@ -202,6 +202,48 @@ def test_autotuner_reproduces_nw_skewed_layout():
     assert row_factors[16] > 2.0 and row_factors[32] > 2.0
 
 
+def test_nw_profiles_reuse_the_analytic_trace(monkeypatch):
+    import repro.apps.nw as nw
+
+    nw._nw_analytic_trace.cache_clear()
+    nw.nw_buffer_layout.cache_clear()
+    traced_sizes = []
+    real = nw.run_nw_blocked
+
+    def spy(reference, config, *args, **kwargs):
+        traced_sizes.append((config.n, config.block))
+        return real(reference, config, *args, **kwargs)
+
+    monkeypatch.setattr(nw, "run_nw_blocked", spy)
+    result = autotune("nw", measure_top_k=2)
+    # the disagreement column re-uses each candidate's analytic evaluation
+    by_config = {tuple(sorted(c.config.items())): c for c in result.evaluations}
+    assert len(result.profiles) == 2
+    for profile in result.profiles:
+        candidate = by_config[tuple(sorted(profile.config.items()))]
+        assert profile.analytic_seconds == candidate.time_seconds
+    # one analytic trace (4*block) per candidate, one measured case (2*block)
+    # per profile, and nothing simulated twice
+    analytic = [(n, b) for n, b in traced_sizes if n == 4 * b]
+    measured = [(n, b) for n, b in traced_sizes if n == 2 * b]
+    assert len(analytic) == len(result) == 20
+    assert len(measured) == 2
+    assert len(traced_sizes) == 22
+
+
+def test_nw_evaluate_memo_is_per_device():
+    import repro.apps.nw as nw
+    from repro.gpusim import A100_80GB, RTX4090
+
+    spec = get_app("nw")
+    config = {"layout": "row", "block": 16}
+    cached = {device: spec.evaluate(config, device=device) for device in (A100_80GB, RTX4090)}
+    assert cached[A100_80GB] != cached[RTX4090]
+    for device in (A100_80GB, RTX4090):
+        nw._nw_analytic_trace.cache_clear()
+        assert spec.evaluate(config, device=device) == cached[device]
+
+
 def test_autotuner_reproduces_transpose_smem_over_naive():
     result = autotune("transpose")
     assert len(result) >= 20
